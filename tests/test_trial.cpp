@@ -1,6 +1,7 @@
 #include "core/trial.hpp"
 
 #include <algorithm>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -62,6 +63,46 @@ TEST(Trial, OccurrenceTaggingNoopOnUniqueIds) {
     t.push_back(TrialPacket{PacketId{0, i}, static_cast<Ns>(i)});
   }
   EXPECT_EQ(t.make_occurrences_unique(), 0u);
+}
+
+TEST(Trial, OccurrenceTaggingMatchesNodeMapReference) {
+  // The literal construction: count each id as first seen, tag the k-th
+  // repeat with occurrence k. Random trials with heavy repetition, plus
+  // natural ids that equal another packet's derived occurrence id; the
+  // last rounds are unique.
+  std::uint64_t x = 42;
+  for (int round = 0; round < 20; ++round) {
+    Trial t;
+    const bool unique = round >= 16;
+    const std::uint64_t distinct = 1 + round * 37;
+    for (int i = 0; i < 3000; ++i) {
+      x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+      const std::uint64_t lo =
+          unique ? static_cast<std::uint64_t>(i) : (x >> 33) % distinct;
+      PacketId id{7, lo};
+      if (!unique && i % 97 == 0) {
+        id = occurrence_id(PacketId{7, 0}, 1 + (x >> 40) % 3);
+      }
+      t.push_back(TrialPacket{id, i});
+    }
+    std::vector<TrialPacket> expected = t.packets();
+    std::unordered_map<PacketId, std::uint64_t, PacketIdHash> counts;
+    std::size_t expected_rewritten = 0;
+    for (auto& p : expected) {
+      const std::uint64_t occurrence = counts[p.id]++;
+      if (occurrence > 0) {
+        p.id = occurrence_id(p.id, occurrence);
+        ++expected_rewritten;
+      }
+    }
+    EXPECT_EQ(expected_rewritten == 0, unique);
+    EXPECT_EQ(t.ids_unique(), unique);
+    EXPECT_EQ(t.make_occurrences_unique(), expected_rewritten);
+    ASSERT_EQ(t.size(), expected.size());
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      ASSERT_EQ(t[i].id, expected[i].id) << "round " << round << " pos " << i;
+    }
+  }
 }
 
 TEST(PacketId, EqualityAndHash) {
