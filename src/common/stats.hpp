@@ -59,17 +59,32 @@ Summary summarize(std::span<const T> values, Map map) {
   return s;
 }
 
+/// The two ranks percentile_sorted interpolates between for `p` over a
+/// sample of `size` points, and the weight of the upper one. Only these
+/// two order statistics are read, so a caller may select them (e.g.
+/// with std::nth_element) instead of sorting the whole sample.
+struct PercentileBracket {
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+  double frac = 0.0;
+};
+
+inline PercentileBracket percentile_bracket(std::size_t size, double p) {
+  const double rank = p / 100.0 * static_cast<double>(size - 1);
+  PercentileBracket b;
+  b.lo = static_cast<std::size_t>(rank);
+  b.hi = b.lo + 1 < size ? b.lo + 1 : size - 1;
+  b.frac = rank - static_cast<double>(b.lo);
+  return b;
+}
+
 /// Percentile of an ascending-sorted sample by linear interpolation:
 /// rank p/100 * (n-1), so p0 is exactly the minimum and p100 exactly
 /// the maximum. Preconditions (non-empty, p in [0,100]) are the
 /// caller's to check — analysis::percentile turns them into errors.
 inline double percentile_sorted(std::span<const double> sorted, double p) {
-  const double rank =
-      p / 100.0 * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = lo + 1 < sorted.size() ? lo + 1 : sorted.size() - 1;
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
+  const PercentileBracket b = percentile_bracket(sorted.size(), p);
+  return sorted[b.lo] + (sorted[b.hi] - sorted[b.lo]) * b.frac;
 }
 
 /// The 99.9th percentile of an ascending-sorted sample — the high tail

@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/expect.hpp"
@@ -150,6 +151,35 @@ struct CompareScratch {
   std::vector<char> member_bwd;             ///< LCS membership, A-rank order
   LisScratch lis;
   Alignment alignment;  ///< compare_trials' reusable alignment storage
+
+  /// Size every per-alignment buffer for alignments of up to `matches`
+  /// common packets, so a loop over many small alignments (per-flow κ)
+  /// grows each buffer once instead of once per larger input seen.
+  void reserve(std::size_t matches);
 };
+
+/// The rank/LIS/edit-script half of align_trials. Its matching half has
+/// filled out->matches (index_a and index_b only, in B order),
+/// out->size_a and out->size_b, and stamped claimed[j] = {epoch, match
+/// index} for every claimed A position j (claimed spans exactly trial
+/// A). This half assigns ranks, picks the cheaper of the forward and
+/// backward maximal LCS, and fills the LCS flags, the moves, lcs_length
+/// and the displacement sum. When the forward rank sequence is the
+/// identity the whole sequence is the LCS and O = 0, so both LIS passes
+/// are skipped; the output is the same either way.
+void align_from_matches(std::span<const CompareScratch::Claim> claimed,
+                        std::uint32_t epoch, CompareScratch& scratch,
+                        Alignment* out);
+
+/// align_trials for a caller that has already matched the trials:
+/// b_to_a[k] is the position in `a` of the packet with B packet k's id,
+/// ReferenceIndex::kNoIndex when A has none. Ids must be unique on each
+/// side (checked only in debug builds); the output is then exactly
+/// align_trials' without an index build or a lookup. The streaming
+/// monitor matches each packet as it arrives and aligns its windows and
+/// finales this way.
+void align_matched(const Trial& a, const Trial& b,
+                   std::span<const std::uint32_t> b_to_a,
+                   CompareScratch& scratch, Alignment* out);
 
 }  // namespace choir::core

@@ -41,6 +41,23 @@ double off_lcs_displacement(std::span<const std::uint32_t> sequence,
   return sum;
 }
 
+/// Start a comparison's claims: the epoch bump makes every claim/B-only
+/// stamp from earlier comparisons stale in O(1); on the (rare) u32 wrap
+/// the stamps are cleared for real so old epochs can never read as
+/// current. Returns the new epoch.
+std::uint32_t begin_claims(CompareScratch& scratch, std::size_t a_size) {
+  if (++scratch.epoch == 0) {
+    for (auto& c : scratch.claimed) c.epoch = 0;
+    for (auto& s : scratch.b_only) s.epoch = 0;
+    scratch.epoch = 1;
+  }
+  if (scratch.claimed.size() < a_size) {
+    ++scratch.grows;
+    scratch.claimed.resize(a_size);
+  }
+  return scratch.epoch;
+}
+
 }  // namespace
 
 Alignment align_trials(const Trial& a, const Trial& b) {
@@ -54,11 +71,8 @@ void align_trials(const Trial& a, const Trial& b, CompareScratch& scratch,
                   Alignment* out) {
   telemetry::ProfileSpan prof("kappa.align");
   out->matches.clear();
-  out->moves.clear();
   out->size_a = a.size();
   out->size_b = b.size();
-  out->lcs_length = 0;
-  out->sum_abs_displacement = 0.0;
 
   const ReferenceIndex* index = scratch.shared_ref;
   if (index != nullptr) {
@@ -69,19 +83,7 @@ void align_trials(const Trial& a, const Trial& b, CompareScratch& scratch,
     index = &scratch.own_ref;
   }
 
-  // Epoch bump makes every claim/B-only stamp from earlier comparisons
-  // stale in O(1); on the (rare) u32 wrap the stamps are cleared for
-  // real so old epochs can never read as current.
-  if (++scratch.epoch == 0) {
-    for (auto& c : scratch.claimed) c.epoch = 0;
-    for (auto& s : scratch.b_only) s.epoch = 0;
-    scratch.epoch = 1;
-  }
-  const std::uint32_t epoch = scratch.epoch;
-  if (scratch.claimed.size() < a.size()) {
-    ++scratch.grows;
-    scratch.claimed.resize(a.size());
-  }
+  const std::uint32_t epoch = begin_claims(scratch, a.size());
   {
     // The B-only set is sized for the worst case (every B packet absent
     // from A) up front, so the scan below never rehashes mid-pass.
@@ -122,8 +124,62 @@ void align_trials(const Trial& a, const Trial& b, CompareScratch& scratch,
       scratch.b_only[i].epoch = epoch;
     }
   }
-  const std::uint32_t m = static_cast<std::uint32_t>(out->matches.size());
   ++scratch.comparisons;
+  align_from_matches(
+      std::span<const CompareScratch::Claim>(scratch.claimed.data(), a.size()),
+      epoch, scratch, out);
+}
+
+void align_matched(const Trial& a, const Trial& b,
+                   std::span<const std::uint32_t> b_to_a,
+                   CompareScratch& scratch, Alignment* out) {
+  telemetry::ProfileSpan prof("kappa.align");
+  CHOIR_EXPECT(b_to_a.size() == b.size(),
+               "match positions must parallel trial B");
+  out->matches.clear();
+  out->size_a = a.size();
+  out->size_b = b.size();
+  const std::uint32_t epoch = begin_claims(scratch, a.size());
+  reserve_tracked(out->matches, b.size(), &scratch.grows);
+  for (std::uint32_t k = 0; k < b.size(); ++k) {
+    const std::uint32_t j = b_to_a[k];
+    if (j == ReferenceIndex::kNoIndex) continue;
+    CHOIR_ASSUME_DBG(j < a.size() && a[j].id == b[k].id);
+    CHOIR_ASSUME_DBG(scratch.claimed[j].epoch != epoch);
+    scratch.claimed[j].epoch = epoch;
+    scratch.claimed[j].match = static_cast<std::uint32_t>(out->matches.size());
+    MatchedPacket match;
+    match.index_a = j;
+    match.index_b = k;
+    out->matches.push_back(match);
+  }
+  ++scratch.comparisons;
+  align_from_matches(
+      std::span<const CompareScratch::Claim>(scratch.claimed.data(), a.size()),
+      epoch, scratch, out);
+}
+
+void CompareScratch::reserve(std::size_t matches) {
+  reserve_tracked(order, matches, &grows);
+  reserve_tracked(seq_forward, matches, &grows);
+  reserve_tracked(seq_backward, matches, &grows);
+  reserve_tracked(lis_out, matches, &grows);
+  reserve_tracked(member_fwd, matches, &grows);
+  reserve_tracked(member_bwd, matches, &grows);
+  reserve_tracked(lis.tail_vals, matches, &lis.grows);
+  reserve_tracked(lis.tail_pos, matches, &lis.grows);
+  reserve_tracked(lis.parent, matches, &lis.grows);
+  reserve_tracked(alignment.matches, matches, &grows);
+  reserve_tracked(alignment.moves, matches, &grows);
+}
+
+void align_from_matches(std::span<const CompareScratch::Claim> claimed,
+                        std::uint32_t epoch, CompareScratch& scratch,
+                        Alignment* out) {
+  out->moves.clear();
+  out->lcs_length = 0;
+  out->sum_abs_displacement = 0.0;
+  const std::uint32_t m = static_cast<std::uint32_t>(out->matches.size());
   if (m == 0) return;
 
   // Ranks within the common subsequence. rank_b is simply the match
@@ -141,8 +197,8 @@ void align_trials(const Trial& a, const Trial& b, CompareScratch& scratch,
   scratch.seq_forward.resize(m);
   scratch.seq_backward.resize(m);
   std::uint32_t rank = 0;
-  for (std::uint32_t j = 0; j < a.size(); ++j) {
-    const CompareScratch::Claim& claim = scratch.claimed[j];
+  for (std::uint32_t j = 0; j < claimed.size(); ++j) {
+    const CompareScratch::Claim& claim = claimed[j];
     if (claim.epoch != epoch) continue;
     out->matches[claim.match].rank_a = rank;
     scratch.order[rank] = claim.match;
@@ -150,9 +206,20 @@ void align_trials(const Trial& a, const Trial& b, CompareScratch& scratch,
     scratch.seq_backward[rank] = claim.match;
     ++rank;
   }
+  bool identity = true;
   for (std::uint32_t k = 0; k < m; ++k) {
     out->matches[k].rank_b = k;
     scratch.seq_forward[k] = out->matches[k].rank_a;
+    identity &= out->matches[k].rank_a == k;
+  }
+
+  // Identity fast path: B kept A's order of the common packets, so the
+  // one maximal LCS is every match, nothing moves and O's numerator is 0
+  // — exactly what both LIS passes below would conclude.
+  if (identity) {
+    for (std::uint32_t k = 0; k < m; ++k) out->matches[k].on_lcs = true;
+    out->lcs_length = m;
+    return;
   }
 
   // The maximal LCS is not unique; which packets count as "moved" depends
@@ -177,7 +244,7 @@ void align_trials(const Trial& a, const Trial& b, CompareScratch& scratch,
     }
   } else {
     for (std::uint32_t r = 0; r < m; ++r) {
-      if (scratch.member_bwd[r]) out->matches[scratch.order[r]].on_lcs = true;
+      out->matches[scratch.order[r]].on_lcs = scratch.member_bwd[r] != 0;
     }
   }
   for (std::uint32_t k = 0; k < m; ++k) {

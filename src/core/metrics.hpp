@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/units.hpp"
@@ -80,6 +81,20 @@ ComparisonResult compare_trials(const Trial& a, const Trial& b,
 ComparisonResult compare_trials(const Trial& a, const Trial& b,
                                 const ComparisonOptions& options,
                                 CompareScratch& scratch);
+
+/// The scoring half of compare_trials: Eqs. 1-5, the occupancy counts and
+/// (per `options.collect_series`) the series, from an alignment of `b`
+/// against `a` already made by align_trials, align_matched or
+/// align_from_matches. Times are read exactly as compare_trials reads
+/// them (L's straddle mixes the two timebases), so pass the trials it
+/// would see, rebased where it would be. Fills every field of *out
+/// except `alignment`; a reused *out keeps its series capacity, which
+/// keeps the monitor's window closes allocation-free. Per-flow κ scores
+/// the packed per-flow spans of its arena through this same code.
+void score_alignment(std::span<const TrialPacket> a,
+                     std::span<const TrialPacket> b,
+                     const Alignment& alignment,
+                     const ComparisonOptions& options, ComparisonResult* out);
 
 /// κ from precomputed components (Eq. 5).
 double kappa_of(double u, double o, double l, double i);

@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/units.hpp"
@@ -62,6 +63,11 @@ class Trial {
       : packets_(std::move(packets)) {}
 
   void push_back(TrialPacket p) { packets_.push_back(p); }
+  /// Replace the contents with a copy of `packets`, reusing the storage
+  /// (window and finale buffers refill one Trial without reallocating).
+  void assign(std::span<const TrialPacket> packets) {
+    packets_.assign(packets.begin(), packets.end());
+  }
   void reserve(std::size_t n) { packets_.reserve(n); }
 
   std::size_t size() const { return packets_.size(); }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "fault/active_windows.hpp"
+
 namespace choir::fault {
 
 namespace {
@@ -26,19 +28,21 @@ struct FaultInjector::LinkPoint : net::LinkFaultHook {
   std::string name;
   std::vector<const FaultEvent*> events;
   std::vector<bool> notified;  ///< first-hit observer latch, per event
+  ActiveWindows windows;       ///< every event, in plan order
   Rng rng;
 
   LinkPoint(FaultInjector* p, net::Link* l, std::string n,
             std::vector<const FaultEvent*> ev, Rng r)
       : parent(p), link(l), name(std::move(n)), events(std::move(ev)),
-        notified(events.size(), false), rng(r) {}
+        notified(events.size(), false),
+        windows(events, [](const FaultEvent&) { return true; }), rng(r) {}
 
   bool on_transmit(net::Link& via, pktio::Mbuf* pkt, Ns wire_departure,
                    Ns& extra_delay) override {
     FaultStats& s = parent->stats_;
-    for (std::size_t i = 0; i < events.size(); ++i) {
+    for (const ActiveWindows::Window& w : windows.at(wire_departure)) {
+      const std::size_t i = w.index;
       const FaultEvent* e = events[i];
-      if (!e->active_at(wire_departure)) continue;
       switch (e->kind) {
         case FaultKind::kLinkDown:
           ++s.link_down_drops;
@@ -105,34 +109,50 @@ struct FaultInjector::PortPoint : pktio::PortFaultHook {
   std::string name;
   std::vector<const FaultEvent*> events;
   std::vector<bool> notified;  ///< first-hit observer latch, per event
+  // One sweep per kind, so an RX poll never walks the TX stall windows.
+  ActiveWindows rx_stalls;
+  ActiveWindows tx_stalls;
+  ActiveWindows truncations;
+
+  static auto of_kind(FaultKind kind) {
+    return [kind](const FaultEvent& e) { return e.kind == kind; };
+  }
 
   PortPoint(FaultInjector* p, pktio::EthDev* d, std::string n,
             std::vector<const FaultEvent*> ev)
       : parent(p), dev(d), name(std::move(n)), events(std::move(ev)),
-        notified(events.size(), false) {}
+        notified(events.size(), false),
+        rx_stalls(events, of_kind(FaultKind::kNicRxStall)),
+        tx_stalls(events, of_kind(FaultKind::kNicTxStall)),
+        truncations(events, of_kind(FaultKind::kNicBurstTruncate)) {}
 
+  /// What a scan of every event in plan order decides: the first active
+  /// stall of this direction rejects the burst; otherwise the smallest
+  /// active burst_cap below `n` clamps it, the first such event by plan
+  /// order taking the blame.
   std::uint16_t clamp(std::uint16_t n, bool rx) {
     const Ns now = parent->queue_.now();
     FaultStats& s = parent->stats_;
+    const auto stalls = (rx ? rx_stalls : tx_stalls).at(now);
+    if (!stalls.empty()) {
+      const std::size_t i = stalls.front().index;
+      if (rx) {
+        ++s.rx_stalled_polls;
+        parent->tm_rx_stalls_.add();
+      } else {
+        ++s.tx_stalled_bursts;
+        parent->tm_tx_stalls_.add();
+      }
+      parent->notify_activation(name, notified, i, events[i]->kind, now);
+      return 0;
+    }
     std::uint16_t allowed = n;
     std::size_t truncated_by = SIZE_MAX;
-    for (std::size_t i = 0; i < events.size(); ++i) {
-      const FaultEvent* e = events[i];
-      if (!e->active_at(now)) continue;
-      if (e->kind == (rx ? FaultKind::kNicRxStall : FaultKind::kNicTxStall)) {
-        if (rx) {
-          ++s.rx_stalled_polls;
-          parent->tm_rx_stalls_.add();
-        } else {
-          ++s.tx_stalled_bursts;
-          parent->tm_tx_stalls_.add();
-        }
-        parent->notify_activation(name, notified, i, e->kind, now);
-        return 0;
-      }
-      if (e->kind == FaultKind::kNicBurstTruncate && e->burst_cap < allowed) {
+    for (const ActiveWindows::Window& w : truncations.at(now)) {
+      const FaultEvent* e = events[w.index];
+      if (e->burst_cap < allowed) {
         allowed = e->burst_cap;
-        truncated_by = i;
+        truncated_by = w.index;
       }
     }
     if (allowed < n) {
@@ -154,18 +174,24 @@ struct FaultInjector::PoolPoint : pktio::MempoolFaultHook {
   std::string name;
   std::vector<const FaultEvent*> events;
   std::vector<bool> notified;  ///< first-hit observer latch, per event
+  ActiveWindows pressure;      ///< kMemPressure events, in plan order
   Rng rng;
 
   PoolPoint(FaultInjector* p, pktio::Mempool* pl, std::string n,
             std::vector<const FaultEvent*> ev, Rng r)
       : parent(p), pool(pl), name(std::move(n)), events(std::move(ev)),
-        notified(events.size(), false), rng(r) {}
+        notified(events.size(), false),
+        pressure(events,
+                 [](const FaultEvent& e) {
+                   return e.kind == FaultKind::kMemPressure;
+                 }),
+        rng(r) {}
 
   bool deny_alloc() override {
     const Ns now = parent->queue_.now();
-    for (std::size_t i = 0; i < events.size(); ++i) {
+    for (const ActiveWindows::Window& w : pressure.at(now)) {
+      const std::size_t i = w.index;
       const FaultEvent* e = events[i];
-      if (e->kind != FaultKind::kMemPressure || !e->active_at(now)) continue;
       // p = 1 (the default) is exact exhaustion and burns no RNG draw.
       if (e->probability >= 1.0 || rng.chance(e->probability)) {
         ++parent->stats_.allocs_denied;

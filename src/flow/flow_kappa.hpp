@@ -19,12 +19,21 @@
 // Determinism: flows are keyed to index-addressed result slots before
 // any fan-out, and the aggregate is folded sequentially in flow-id
 // order, so results are bit-identical at any `jobs` value.
+//
+// Cost: every entry point runs one fused pass (see FlowCompareArena).
+// Both sides are counting-sorted by flow into a CSR arena, B is matched
+// to A through one flat index over the whole A side, and each flow then
+// runs only the rank/LIS/edit-script half of the κ kernel
+// (core::align_from_matches) and the shared scorer — the same code
+// compare_trials runs, so every per-flow result equals compare_trials on
+// the demuxed, rebased flow pair bit for bit.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "core/compare_scratch.hpp"
 #include "core/metrics.hpp"
 #include "flow/flow_key.hpp"
 #include "flow/flow_table.hpp"
@@ -66,10 +75,62 @@ struct FlowSetComparison {
   std::uint64_t unclassified_b = 0;
 };
 
+/// Reusable arena of the fused per-flow comparison. Owned by a caller
+/// that compares repeatedly (the streaming monitor's windows and
+/// finales), it makes the comparison allocation-free once warm; the
+/// one-shot entry points build a temporary one.
+///
+/// Layout: per side, a CSR pair — `offsets_*` (flow_count + 1 entries;
+/// flow f is [offsets[f], offsets[f + 1])) and `packets_*`, each flow's
+/// packets in arrival order rebased to the flow's first packet. `slots`
+/// is the match index over the flows present on both sides, in the
+/// trial occurrence table's idiom: linear probing over a power-of-two
+/// table, a slot packing the (flow, id) hash's high 32 bits, a B-side
+/// bit and a CSR position + 1 (0 = empty). The key includes the flow, so
+/// one id in two flows is two keys. `claims` stamps each A position
+/// with the flow-local match that took it (epoch-stamped, as in
+/// core::CompareScratch), `match_a` holds each B position's flow-local A
+/// index, and `kappas` is aggregate_flows' sort buffer. `csr_a` /
+/// `csr_b` map trial positions to CSR positions when the caller supplies
+/// the matches (see compare_flows_by_id).
+struct FlowCompareArena {
+  std::vector<std::uint32_t> offsets_a, offsets_b;
+  std::vector<core::TrialPacket> packets_a, packets_b;
+  std::vector<std::uint32_t> csr_a, csr_b;
+  std::vector<std::uint64_t> slots;
+  std::vector<core::CompareScratch::Claim> claims;
+  std::uint32_t epoch = 0;
+  std::vector<std::uint32_t> match_a;
+  std::vector<double> kappas;
+  core::CompareScratch scratch;  ///< rank/LIS buffers, sequential path
+};
+
 /// Fold an ordered per-flow comparison list into the aggregate (percentile
 /// conventions from common/stats.hpp). Exposed for the streaming monitor,
 /// which accumulates FlowComparisons of its own.
 FlowAggregate aggregate_flows(std::span<const FlowComparison> flows);
+
+/// Same, sorting in `*kappas` (cleared first, capacity kept).
+FlowAggregate aggregate_flows(std::span<const FlowComparison> flows,
+                              std::vector<double>* kappas);
+
+/// compare_flows_by_id over packet spans through a caller-owned arena,
+/// into *out (overwritten; its flow vector keeps its capacity). The
+/// spans need not be rebased: each flow is rebased in the arena.
+///
+/// `b_to_a`, when non-empty, parallels B and holds what a caller that
+/// has already matched the whole trials knows (the streaming monitor):
+/// the position in A of the packet with B packet i's id, or
+/// core::ReferenceIndex::kNoIndex. It replaces the flat index: B packet
+/// i matches in its flow iff b_to_a[i] is in the same flow. Ids must
+/// then be unique on each side, which is not checked.
+void compare_flows_by_id(std::span<const core::TrialPacket> a,
+                         std::span<const FlowId> ids_a,
+                         std::span<const core::TrialPacket> b,
+                         std::span<const FlowId> ids_b,
+                         std::size_t flow_count, int jobs,
+                         FlowCompareArena& arena, FlowSetComparison* out,
+                         std::span<const std::uint32_t> b_to_a = {});
 
 /// Compare two trials flow by flow when both were classified against the
 /// SAME id space (e.g. the recorder's persistent classifier): ids match

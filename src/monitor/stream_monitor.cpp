@@ -11,6 +11,10 @@
 
 namespace choir::monitor {
 
+// stream_ref_ feeds core::align_matched and flow::compare_flows_by_id
+// as is, so "no reference position" must read the same to all three.
+static_assert(IdTable::kNoRef == core::ReferenceIndex::kNoIndex);
+
 const char* to_string(DivergenceRecord::Kind kind) {
   switch (kind) {
     case DivergenceRecord::Kind::kMoved:
@@ -232,6 +236,7 @@ void StreamMonitor::do_begin_stream(const std::string& name) {
       !reference_set_ && config_.reference_from_first_stream;
   stream_name_ = name;
   stream_packets_.clear();
+  stream_ref_.clear();
   stream_flows_.clear();
   id_table_.new_stream();
   window_begin_ = 0;
@@ -283,6 +288,7 @@ void StreamMonitor::do_observe(core::PacketId raw_id, Ns timestamp,
   const std::uint32_t j = hit.occurrence == 0
                               ? hit.ref_index
                               : id_table_.ref_index_of(id);
+  stream_ref_.push_back(j);
   if (j != IdTable::kNoRef) {
     ++stream_matched_;
     ++matched_total_;
@@ -342,13 +348,12 @@ void StreamMonitor::update_running(Ns) {
   running_ = r;
 }
 
-core::Trial StreamMonitor::slice_trial(
-    const std::vector<core::TrialPacket>& packets, std::size_t begin,
-    std::size_t end) const {
-  core::Trial slice(std::vector<core::TrialPacket>(packets.begin() + begin,
-                                                   packets.begin() + end));
-  slice.rebase_to_zero();
-  return slice;
+void StreamMonitor::slice_into(const std::vector<core::TrialPacket>& packets,
+                               std::size_t begin, std::size_t end,
+                               core::Trial* out) {
+  out->assign(std::span<const core::TrialPacket>(packets).subspan(
+      begin, end - begin));
+  out->rebase_to_zero();
 }
 
 void StreamMonitor::close_window(bool) {
@@ -359,14 +364,29 @@ void StreamMonitor::close_window(bool) {
 
   const std::size_t a_begin = std::min(b_begin, reference_.size());
   const std::size_t a_end = std::min(b_end, reference_.size());
-  const core::Trial wa = slice_trial(reference_.packets(), a_begin, a_end);
-  const core::Trial wb = slice_trial(stream_packets_, b_begin, b_end);
+  slice_into(reference_.packets(), a_begin, a_end, &slice_a_);
+  slice_into(stream_packets_, b_begin, b_end, &slice_b_);
 
+  // The exact Section 3 comparison of the slice pair, aligned from the
+  // matches observe() found: ids are unique on both sides, so a window
+  // packet matches in the slice pair iff its reference position falls in
+  // the paired range — what align_trials would find by lookup.
+  window_ref_.resize(b_end - b_begin);
+  for (std::size_t k = b_begin; k < b_end; ++k) {
+    const std::uint32_t j = stream_ref_[k];
+    window_ref_[k - b_begin] =
+        j != IdTable::kNoRef && j >= a_begin && j < a_end
+            ? static_cast<std::uint32_t>(j - a_begin)
+            : core::ReferenceIndex::kNoIndex;
+  }
+  core::Alignment& alignment = compare_scratch_.alignment;
+  core::align_matched(slice_a_, slice_b_, window_ref_, compare_scratch_,
+                      &alignment);
   core::ComparisonOptions options;
   options.collect_series = true;
-  options.collect_alignment = config_.top_k > 0;
-  const core::ComparisonResult cmp =
-      core::compare_trials(wa, wb, options, compare_scratch_);
+  core::ComparisonResult& cmp = window_cmp_;
+  core::score_alignment(slice_a_.packets(), slice_b_.packets(), alignment,
+                        options, &cmp);
 
   WindowRecord window;
   window.stream = stream_ordinal_;
@@ -387,9 +407,10 @@ void StreamMonitor::close_window(bool) {
   update_running(window.last_time_ns);
   window.kappa_running = running_.kappa;
 
-  // Per-flow κ for this window: the same slice pair demuxed by flow id,
+  // Per-flow κ for this window: the same slice pair split by flow id,
   // so every window carries its own flow-κ distribution. Inline
-  // (jobs = 1) for the same reason as the stream finale below.
+  // (jobs = 1) for the same reason as the stream finale below. The raw
+  // slices go in unrebased: each flow is rebased on its own.
   const bool window_has_flows =
       !reference_flows_.empty() && b_end <= stream_flows_.size() &&
       std::any_of(stream_flows_.begin() +
@@ -397,19 +418,21 @@ void StreamMonitor::close_window(bool) {
                   stream_flows_.begin() + static_cast<std::ptrdiff_t>(b_end),
                   [](flow::FlowId f) { return f != flow::kNoFlow; });
   if (window_has_flows) {
-    const std::vector<flow::FlowId> fa(
-        reference_flows_.begin() + static_cast<std::ptrdiff_t>(a_begin),
-        reference_flows_.begin() + static_cast<std::ptrdiff_t>(a_end));
-    const std::vector<flow::FlowId> fb(
-        stream_flows_.begin() + static_cast<std::ptrdiff_t>(b_begin),
-        stream_flows_.begin() + static_cast<std::ptrdiff_t>(b_end));
-    const flow::FlowSetComparison flows = flow::compare_flows_by_id(
-        wa, fa, wb, fb, flow_ids_high_, /*jobs=*/1);
+    const std::span<const core::TrialPacket> ref(reference_.packets());
+    const std::span<const flow::FlowId> ref_flows(reference_flows_);
+    const std::span<const flow::FlowId> flows(stream_flows_);
+    flow::compare_flows_by_id(
+        ref.subspan(a_begin, a_end - a_begin),
+        ref_flows.subspan(a_begin, a_end - a_begin),
+        std::span<const core::TrialPacket>(stream_packets_)
+            .subspan(b_begin, b_end - b_begin),
+        flows.subspan(b_begin, b_end - b_begin), flow_ids_high_, /*jobs=*/1,
+        flow_arena_, &flow_cmp_, window_ref_);
     window.has_flows = true;
-    window.flow_aggregate = flows.aggregate;
+    window.flow_aggregate = flow_cmp_.aggregate;
   }
 
-  if (config_.top_k > 0) attribute_window(cmp, window);
+  if (config_.top_k > 0) attribute_window(cmp, alignment, window);
 
   if (!config_.async) {
     tm_windows_.add();
@@ -440,14 +463,16 @@ void StreamMonitor::close_window(bool) {
 }
 
 void StreamMonitor::attribute_window(const core::ComparisonResult& cmp,
+                                     const core::Alignment& alignment,
                                      const WindowRecord& window) {
-  const core::Alignment& alignment = cmp.alignment;
   const std::size_t b_size = window.b_end - window.b_begin;
   const std::size_t a_size = window.a_end - window.a_begin;
 
   // Per-local-position match lookup (window-local B index -> match slot).
-  std::vector<std::int32_t> match_of_b(b_size, -1);
-  std::vector<char> matched_a(a_size, 0);
+  std::vector<std::int32_t>& match_of_b = match_of_b_;
+  std::vector<char>& matched_a = matched_a_;
+  match_of_b.assign(b_size, -1);
+  matched_a.assign(a_size, 0);
   for (std::size_t i = 0; i < alignment.matches.size(); ++i) {
     match_of_b[alignment.matches[i].index_b] = static_cast<std::int32_t>(i);
     matched_a[alignment.matches[i].index_a] = 1;
@@ -460,22 +485,28 @@ void StreamMonitor::attribute_window(const core::ComparisonResult& cmp,
     divergence_.push_back(std::move(record));
   };
 
-  // Moved: largest |rank displacement| first; stable on B position.
-  std::vector<const core::Move*> moves;
-  moves.reserve(alignment.moves.size());
+  // Top-K selections: both orders below are strict and total (ties break
+  // on the B position, unique per match), so partial_sort's first K equal
+  // a full stable sort's without sorting the whole window.
+  const auto top_k = [this](auto& v, auto less) {
+    const std::size_t k = std::min(v.size(), config_.top_k);
+    std::partial_sort(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(k),
+                      v.end(), less);
+    v.resize(k);
+  };
+
+  // Moved: largest |rank displacement| first; ties on B position.
+  std::vector<const core::Move*>& moves = top_moves_;
+  moves.clear();
   for (const core::Move& mv : alignment.moves) {
     if (mv.displacement != 0) moves.push_back(&mv);
   }
-  std::stable_sort(moves.begin(), moves.end(),
-                   [](const core::Move* x, const core::Move* y) {
-                     const auto ax = x->displacement < 0 ? -x->displacement
-                                                         : x->displacement;
-                     const auto ay = y->displacement < 0 ? -y->displacement
-                                                         : y->displacement;
-                     if (ax != ay) return ax > ay;
-                     return x->index_b < y->index_b;
-                   });
-  if (moves.size() > config_.top_k) moves.resize(config_.top_k);
+  top_k(moves, [](const core::Move* x, const core::Move* y) {
+    const auto ax = x->displacement < 0 ? -x->displacement : x->displacement;
+    const auto ay = y->displacement < 0 ? -y->displacement : y->displacement;
+    if (ax != ay) return ax > ay;
+    return x->index_b < y->index_b;
+  });
   for (const core::Move* mv : moves) {
     DivergenceRecord r;
     r.kind = DivergenceRecord::Kind::kMoved;
@@ -494,20 +525,17 @@ void StreamMonitor::attribute_window(const core::ComparisonResult& cmp,
   }
 
   // Latency straddle: matched packets with the largest |l_B - l_A|.
-  std::vector<std::uint32_t> by_latency;
-  by_latency.reserve(alignment.matches.size());
+  std::vector<std::uint32_t>& by_latency = top_latency_;
+  by_latency.clear();
   for (std::uint32_t i = 0; i < alignment.matches.size(); ++i) {
     if (cmp.series.latency_delta_ns[i] != 0.0) by_latency.push_back(i);
   }
-  std::stable_sort(by_latency.begin(), by_latency.end(),
-                   [&](std::uint32_t x, std::uint32_t y) {
-                     const double ax = std::abs(cmp.series.latency_delta_ns[x]);
-                     const double ay = std::abs(cmp.series.latency_delta_ns[y]);
-                     if (ax != ay) return ax > ay;
-                     return alignment.matches[x].index_b <
-                            alignment.matches[y].index_b;
-                   });
-  if (by_latency.size() > config_.top_k) by_latency.resize(config_.top_k);
+  top_k(by_latency, [&](std::uint32_t x, std::uint32_t y) {
+    const double ax = std::abs(cmp.series.latency_delta_ns[x]);
+    const double ay = std::abs(cmp.series.latency_delta_ns[y]);
+    if (ax != ay) return ax > ay;
+    return alignment.matches[x].index_b < alignment.matches[y].index_b;
+  });
   for (const std::uint32_t i : by_latency) {
     const core::MatchedPacket& match = alignment.matches[i];
     DivergenceRecord r;
@@ -567,16 +595,20 @@ void StreamMonitor::close_stream() {
   close_window(true);
 
   // Exact finale: the whole stream against the whole reference, via the
-  // offline algorithm — what `compare_trials` on saved captures reports.
+  // offline algorithm — what `compare_trials` on saved captures reports
+  // (aligned from observe()'s matches, as the windows are).
   StreamResult result;
   result.ordinal = stream_ordinal_;
   result.name = stream_name_;
   result.packets = stream_packets_.size();
   result.windows = window_index_;
-  const core::Trial full =
-      slice_trial(stream_packets_, 0, stream_packets_.size());
-  const core::ComparisonResult cmp = core::compare_trials(
-      reference_, full, core::ComparisonOptions{}, compare_scratch_);
+  slice_into(stream_packets_, 0, stream_packets_.size(), &slice_b_);
+  core::Alignment& alignment = compare_scratch_.alignment;
+  core::align_matched(reference_, slice_b_, stream_ref_, compare_scratch_,
+                      &alignment);
+  core::ComparisonResult cmp;
+  core::score_alignment(reference_.packets(), slice_b_.packets(), alignment,
+                        core::ComparisonOptions{}, &cmp);
   result.metrics = cmp.metrics;
   result.common = cmp.common;
   result.moved = cmp.moved;
@@ -590,25 +622,33 @@ void StreamMonitor::close_stream() {
       std::any_of(stream_flows_.begin(), stream_flows_.end(),
                   [](flow::FlowId f) { return f != flow::kNoFlow; });
   if (!reference_flows_.empty() && stream_has_flows) {
-    const core::Trial& a = reference_;
-    flow::FlowSetComparison flows = flow::compare_flows_by_id(
-        a, reference_flows_, full, stream_flows_, flow_ids_high_, /*jobs=*/1);
+    const flow::FlowSetComparison& flows = flow_cmp_;
+    flow::compare_flows_by_id(reference_.packets(), reference_flows_,
+                              stream_packets_, stream_flows_, flow_ids_high_,
+                              /*jobs=*/1, flow_arena_, &flow_cmp_,
+                              stream_ref_);
     result.has_flows = true;
     result.flow_count = flows.aggregate.flows;
     result.flow_aggregate = flows.aggregate;
     if (config_.flow_top_k > 0) {
-      std::vector<std::size_t> order;
-      order.reserve(flows.flows.size());
+      // Ascending κ, ties on flow id: the order a stable sort of the id
+      // list gives, selected with a partial sort.
+      std::vector<std::size_t>& order = worst_flows_;
+      order.clear();
       for (std::size_t f = 0; f < flows.flows.size(); ++f) {
         const flow::FlowComparison& fc = flows.flows[f];
         if (fc.in_a || fc.in_b) order.push_back(f);
       }
-      std::stable_sort(order.begin(), order.end(),
-                       [&](std::size_t x, std::size_t y) {
-                         return flows.flows[x].metrics.kappa <
-                                flows.flows[y].metrics.kappa;
-                       });
-      if (order.size() > config_.flow_top_k) order.resize(config_.flow_top_k);
+      const std::size_t k = std::min(order.size(), config_.flow_top_k);
+      std::partial_sort(order.begin(),
+                        order.begin() + static_cast<std::ptrdiff_t>(k),
+                        order.end(), [&](std::size_t x, std::size_t y) {
+                          const double kx = flows.flows[x].metrics.kappa;
+                          const double ky = flows.flows[y].metrics.kappa;
+                          if (kx != ky) return kx < ky;
+                          return x < y;
+                        });
+      order.resize(k);
       result.worst_flows.reserve(order.size());
       for (const std::size_t f : order) {
         result.worst_flows.push_back(flows.flows[f]);
@@ -620,6 +660,7 @@ void StreamMonitor::close_stream() {
   if (!config_.async) tm_streams_.add();
   ++stream_ordinal_;
   stream_packets_.clear();
+  stream_ref_.clear();
   stream_flows_.clear();
 }
 

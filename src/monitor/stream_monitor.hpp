@@ -214,9 +214,11 @@ class StreamMonitor {
   void close_stream();
   void install_reference(core::Trial reference);
   void update_running(Ns timestamp);
-  core::Trial slice_trial(const std::vector<core::TrialPacket>& packets,
-                          std::size_t begin, std::size_t end) const;
+  /// Refill *out with packets [begin, end) rebased to the first one.
+  static void slice_into(const std::vector<core::TrialPacket>& packets,
+                         std::size_t begin, std::size_t end, core::Trial* out);
   void attribute_window(const core::ComparisonResult& cmp,
+                        const core::Alignment& alignment,
                         const WindowRecord& window);
   /// Async mode defers all telemetry/tracer output to finalize() so the
   /// worker never touches the sim thread's instruments.
@@ -258,6 +260,10 @@ class StreamMonitor {
   std::uint32_t stream_ordinal_ = 0;  ///< next monitored-stream ordinal
   std::string stream_name_;
   std::vector<core::TrialPacket> stream_packets_;  ///< raw times, unique ids
+  /// Reference position of each stream packet's id (IdTable::kNoRef when
+  /// absent), found by observe(); windows and finales align from it
+  /// instead of re-matching.
+  std::vector<std::uint32_t> stream_ref_;
   std::size_t window_begin_ = 0;
   std::uint64_t window_index_ = 0;
 
@@ -273,10 +279,25 @@ class StreamMonitor {
   Ns prev_b_time_ = 0;  ///< previous *matched* handling uses raw B stream
   RunningEstimate running_;
 
-  // Comparison arena for window closes and the stream finale. All
-  // compares run on the single pipeline thread (the worker in async
-  // mode), so one scratch serves every window without contention.
+  // Comparison arenas for window closes and the stream finale, reused
+  // so a warm monitor closes windows without allocating. All compares
+  // run on the single pipeline thread (the worker in async mode), so one
+  // set serves every window without contention. The window slices and
+  // the finale's rebased stream are copied into `slice_a_` / `slice_b_`;
+  // `window_ref_` is stream_ref_ over the window, relative to its slice.
   core::CompareScratch compare_scratch_;
+  core::Trial slice_a_;
+  core::Trial slice_b_;
+  std::vector<std::uint32_t> window_ref_;
+  core::ComparisonResult window_cmp_;
+  flow::FlowCompareArena flow_arena_;
+  flow::FlowSetComparison flow_cmp_;
+  // attribute_window / worst-flow selection buffers.
+  std::vector<std::int32_t> match_of_b_;
+  std::vector<char> matched_a_;
+  std::vector<const core::Move*> top_moves_;
+  std::vector<std::uint32_t> top_latency_;
+  std::vector<std::size_t> worst_flows_;
 
   // Outputs.
   std::vector<WindowRecord> windows_;

@@ -245,6 +245,139 @@ TEST(CompareScratch, StoredDisplacementMatchesMoveSum) {
   EXPECT_EQ(r.sum_abs_move_distance, sum);
 }
 
+void expect_same_alignment(const Alignment& x, const Alignment& y) {
+  EXPECT_EQ(x.size_a, y.size_a);
+  EXPECT_EQ(x.size_b, y.size_b);
+  EXPECT_EQ(x.lcs_length, y.lcs_length);
+  EXPECT_EQ(x.sum_abs_displacement, y.sum_abs_displacement);
+  ASSERT_EQ(x.matches.size(), y.matches.size());
+  for (std::size_t k = 0; k < x.matches.size(); ++k) {
+    EXPECT_EQ(x.matches[k].index_a, y.matches[k].index_a) << k;
+    EXPECT_EQ(x.matches[k].index_b, y.matches[k].index_b) << k;
+    EXPECT_EQ(x.matches[k].rank_a, y.matches[k].rank_a) << k;
+    EXPECT_EQ(x.matches[k].rank_b, y.matches[k].rank_b) << k;
+    EXPECT_EQ(x.matches[k].on_lcs, y.matches[k].on_lcs) << k;
+  }
+  ASSERT_EQ(x.moves.size(), y.moves.size());
+  for (std::size_t k = 0; k < x.moves.size(); ++k) {
+    EXPECT_EQ(x.moves[k].index_a, y.moves[k].index_a) << k;
+    EXPECT_EQ(x.moves[k].index_b, y.moves[k].index_b) << k;
+    EXPECT_EQ(x.moves[k].displacement, y.moves[k].displacement) << k;
+  }
+}
+
+/// The LIS path spelled out from its primitives: matches in B order,
+/// rank_a by A position, one longest increasing subsequence of the
+/// forward ranks and every match off it moved. When B keeps A's order
+/// of the common packets the backward direction ties (an empty move set
+/// both ways), so this is exactly what align_trials' LIS passes give.
+Alignment forward_lis_alignment(const Trial& a, const Trial& b) {
+  Alignment out;
+  out.size_a = a.size();
+  out.size_b = b.size();
+  for (std::uint32_t k = 0; k < b.size(); ++k) {
+    for (std::uint32_t j = 0; j < a.size(); ++j) {
+      if (a[j].id == b[k].id) {
+        MatchedPacket m;
+        m.index_a = j;
+        m.index_b = k;
+        m.rank_b = static_cast<std::uint32_t>(out.matches.size());
+        out.matches.push_back(m);
+      }
+    }
+  }
+  std::vector<std::uint32_t> seq;
+  for (MatchedPacket& m : out.matches) {
+    std::uint32_t rank = 0;
+    for (const MatchedPacket& o : out.matches) rank += o.index_a < m.index_a;
+    m.rank_a = rank;
+    seq.push_back(rank);
+  }
+  for (const std::uint32_t pos : longest_increasing_subsequence(seq)) {
+    out.matches[pos].on_lcs = true;
+  }
+  for (const MatchedPacket& m : out.matches) {
+    if (m.on_lcs) {
+      ++out.lcs_length;
+      continue;
+    }
+    const std::int64_t d = static_cast<std::int64_t>(m.rank_a) - m.rank_b;
+    out.moves.push_back(Move{m.index_b, m.index_a, d});
+    out.sum_abs_displacement += static_cast<double>(d < 0 ? -d : d);
+  }
+  return out;
+}
+
+TEST(CompareScratch, IdentityFastPathMatchesLisPath) {
+  // B keeps A's order of its common packets (loss, extras spliced in,
+  // jitter, no reordering): the forward rank sequence is 0..m-1 and
+  // align_trials skips both LIS passes. Its alignment must equal the
+  // LIS path's field by field — and a single adjacent swap, which takes
+  // the LIS path, must still agree with it.
+  Rng rng(21);
+  CompareScratch scratch;
+  for (int round = 0; round < 12; ++round) {
+    const std::size_t n = round == 0 ? 1 : 20 + rng.uniform_u64(300);
+    const Trial a = random_trial(rng, n, 0.0, 0);
+    std::vector<TrialPacket> kept;
+    for (std::size_t j = 0; j < a.size(); ++j) {
+      if (round > 0 && rng.chance(0.1)) continue;
+      if (rng.chance(0.1)) kept.push_back({PacketId{7, j}, a[j].time - 3});
+      kept.push_back({a[j].id, a[j].time + static_cast<Ns>(rng.uniform_u64(50))});
+    }
+    const Trial b(kept);
+    Alignment got;
+    align_trials(a, b, scratch, &got);
+    const Alignment want = forward_lis_alignment(a, b);
+    EXPECT_EQ(want.lcs_length, want.matches.size());  // identity ranks
+    expect_same_alignment(got, want);
+    EXPECT_EQ(compare_trials(a, b).metrics.ordering, 0.0);
+
+    // Swap the last two common packets: no longer the identity.
+    std::size_t last = kept.size(), prev = kept.size();
+    for (std::size_t k = kept.size(); k-- > 0;) {
+      if (kept[k].id.hi != 1) continue;
+      if (last == kept.size()) {
+        last = k;
+      } else {
+        prev = k;
+        break;
+      }
+    }
+    if (prev == kept.size()) continue;
+    std::swap(kept[prev].id, kept[last].id);
+    const Trial swapped(kept);
+    align_trials(a, swapped, scratch, &got);
+    const Alignment lis = forward_lis_alignment(a, swapped);
+    EXPECT_EQ(lis.lcs_length + 1, lis.matches.size());
+    EXPECT_EQ(got.lcs_length, lis.lcs_length);
+    EXPECT_EQ(got.sum_abs_displacement, lis.sum_abs_displacement);
+    ASSERT_EQ(got.moves.size(), 1u);
+    EXPECT_EQ(std::abs(got.moves[0].displacement), 1);
+  }
+}
+
+TEST(CompareScratch, AlignMatchedEqualsAlignTrials) {
+  // A caller that already knows every match (the streaming monitor) gets
+  // align_trials' exact alignment from align_matched.
+  Rng rng(22);
+  CompareScratch scratch;
+  for (int round = 0; round < 8; ++round) {
+    const std::size_t n = 1 + rng.uniform_u64(2000);
+    const Trial a = random_trial(rng, n, 0.0, 0, /*drops=*/round);
+    const Trial b = random_trial(rng, n, 12.0, n / 5, /*drops=*/round + 1);
+    const ReferenceIndex index(a);
+    std::vector<std::uint32_t> b_to_a;
+    for (std::size_t k = 0; k < b.size(); ++k) {
+      b_to_a.push_back(index.lookup(b[k].id));
+    }
+    Alignment want, got;
+    align_trials(a, b, scratch, &want);
+    align_matched(a, b, b_to_a, scratch, &got);
+    expect_same_alignment(got, want);
+  }
+}
+
 TEST(LisWorkspace, MatchesAllocatingOverload) {
   Rng rng(20);
   LisScratch scratch;

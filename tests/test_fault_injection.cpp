@@ -6,8 +6,11 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <tuple>
 #include <vector>
 
+#include "fault/active_windows.hpp"
 #include "fault/chaos.hpp"
 #include "fault/injector.hpp"
 #include "net/link.hpp"
@@ -313,6 +316,189 @@ TEST(FaultInjection, EventsOutsideTheirLayerNeverBind) {
   EXPECT_EQ(injector.attached_points(), 0u);
   injector.attach_pool("pool.test", pool);
   EXPECT_EQ(injector.attached_points(), 1u);
+}
+
+// ---- Interval index vs. the linear scan it replaced ---------------------
+
+/// Seeded random plan of overlapping windows (some zero-length) of every
+/// NIC kind plus a few other-layer events, aimed at "nic.test", at every
+/// point ("*"), or at another port.
+FaultPlan random_overlapping_plan(Rng& rng, std::size_t events, Ns horizon) {
+  const FaultKind kinds[] = {FaultKind::kNicRxStall, FaultKind::kNicTxStall,
+                             FaultKind::kNicBurstTruncate,
+                             FaultKind::kNicBurstTruncate,
+                             FaultKind::kLinkDrop, FaultKind::kMemPressure};
+  const char* targets[] = {"nic.test", "*", "nic.other"};
+  FaultPlan plan;
+  for (std::size_t i = 0; i < events; ++i) {
+    FaultEvent e;
+    e.kind = kinds[rng.uniform_u64(std::size(kinds))];
+    e.target = targets[rng.uniform_u64(std::size(targets))];
+    e.start = static_cast<Ns>(rng.uniform_u64(static_cast<std::uint64_t>(horizon)));
+    e.duration = rng.chance(0.05)
+                     ? 0
+                     : static_cast<Ns>(rng.uniform_u64(
+                           static_cast<std::uint64_t>(horizon / 6)));
+    e.burst_cap = static_cast<std::uint16_t>(1 + rng.uniform_u64(24));
+    plan.add(e);
+  }
+  return plan;
+}
+
+TEST(FaultInjection, ActiveWindowsMatchLinearScan) {
+  // Random overlapping windows, queried mostly forward in time with
+  // repeats and occasional jumps back: the sweep's active list must be
+  // exactly the active_at scan, in plan order, for the kept events.
+  Rng rng(0xAC71);
+  for (int round = 0; round < 20; ++round) {
+    const Ns horizon = 1'000'000;
+    const FaultPlan plan = random_overlapping_plan(rng, 1 + rng.uniform_u64(300),
+                                                   horizon);
+    std::vector<const FaultEvent*> events;
+    for (const FaultEvent& e : plan.events()) events.push_back(&e);
+    const auto keep = [round](const FaultEvent& e) {
+      return round % 2 == 0 || e.kind == FaultKind::kNicBurstTruncate;
+    };
+    ActiveWindows windows(events, keep);
+    Ns now = 0;
+    for (int q = 0; q < 3000; ++q) {
+      const std::uint64_t step = rng.uniform_u64(100);
+      if (step < 3) {
+        now = static_cast<Ns>(rng.uniform_u64(static_cast<std::uint64_t>(now) + 1));
+      } else if (step > 10) {
+        now += static_cast<Ns>(rng.uniform_u64(1500));
+      }
+      // else: the same time again
+      std::vector<std::uint32_t> want;
+      for (std::uint32_t i = 0; i < events.size(); ++i) {
+        if (keep(*events[i]) && events[i]->active_at(now)) want.push_back(i);
+      }
+      std::vector<std::uint32_t> got;
+      for (const ActiveWindows::Window& w : windows.at(now)) {
+        got.push_back(w.index);
+      }
+      ASSERT_EQ(got, want) << "round " << round << " query " << q;
+    }
+  }
+}
+
+/// Backend that records how many packets each burst offered it.
+struct RecordingBackend : pktio::PortBackend {
+  std::uint16_t offered = 0;
+  std::uint16_t backend_tx(pktio::Mbuf* const* pkts,
+                           std::uint16_t n) override {
+    for (std::uint16_t i = 0; i < n; ++i) pktio::Mempool::release(pkts[i]);
+    offered = n;
+    return n;
+  }
+  std::uint16_t backend_rx(pktio::Mbuf**, std::uint16_t n) override {
+    offered = n;
+    return 0;
+  }
+};
+
+/// The port hook's semantics as a literal scan of the point's events in
+/// plan order: the first active stall of the burst's direction rejects
+/// it; otherwise the first event holding the smallest active burst_cap
+/// below the request clamps it. Each (event, first hit) is latched once.
+struct LinearPortModel {
+  std::vector<const FaultEvent*> events;
+  std::vector<bool> notified;
+  FaultStats stats;
+  std::vector<std::tuple<std::string, FaultKind, Ns>> activations;
+
+  LinearPortModel(const FaultPlan& plan, const std::string& name) {
+    for (const FaultEvent& e : plan.events()) {
+      if (layer_of(e.kind) == FaultLayer::kNic && e.matches(name)) {
+        events.push_back(&e);
+      }
+    }
+    notified.assign(events.size(), false);
+  }
+
+  void notify(std::size_t i, Ns now) {
+    if (notified[i]) return;
+    notified[i] = true;
+    activations.emplace_back("nic.test", events[i]->kind, now);
+  }
+
+  std::uint16_t clamp(std::uint16_t n, bool rx, Ns now) {
+    std::uint16_t allowed = n;
+    std::size_t truncated_by = SIZE_MAX;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      const FaultEvent* e = events[i];
+      if (!e->active_at(now)) continue;
+      if (e->kind == (rx ? FaultKind::kNicRxStall : FaultKind::kNicTxStall)) {
+        ++(rx ? stats.rx_stalled_polls : stats.tx_stalled_bursts);
+        notify(i, now);
+        return 0;
+      }
+      if (e->kind == FaultKind::kNicBurstTruncate && e->burst_cap < allowed) {
+        allowed = e->burst_cap;
+        truncated_by = i;
+      }
+    }
+    if (allowed < n) {
+      ++stats.bursts_truncated;
+      notify(truncated_by, now);
+    }
+    return allowed;
+  }
+};
+
+TEST(FaultInjection, PortClampMatchesLinearScanOnRandomPlans) {
+  // Seeded random plans of overlapping stall and truncation windows,
+  // driven by RX polls and TX bursts of random size at random times: the
+  // indexed port hook must return, count and report exactly what the
+  // linear scan does.
+  Rng rng(0x5CA7);
+  for (int round = 0; round < 12; ++round) {
+    const Ns horizon = 2'000'000;
+    const FaultPlan plan =
+        random_overlapping_plan(rng, 1 + rng.uniform_u64(400), horizon);
+    sim::EventQueue queue;
+    RecordingBackend backend;
+    pktio::EthDev dev("test", backend);
+    pktio::Mempool pool(64);
+    FaultInjector injector(queue, plan, Rng(round));
+    std::vector<std::tuple<std::string, FaultKind, Ns>> activations;
+    injector.set_observer([&](const std::string& point, FaultKind kind,
+                              Ns now) {
+      activations.emplace_back(point, kind, now);
+    });
+    injector.attach_port("nic.test", dev);
+    LinearPortModel model(plan, "nic.test");
+
+    Ns at = 0;
+    for (int burst = 0; burst < 2000; ++burst) {
+      at += static_cast<Ns>(rng.uniform_u64(2 * horizon / 2000));
+      const bool rx = rng.chance(0.4);
+      const auto n = static_cast<std::uint16_t>(1 + rng.uniform_u64(32));
+      queue.schedule_at(at, [&, rx, n] {
+        const std::uint16_t want = model.clamp(n, rx, queue.now());
+        backend.offered = 0;
+        if (rx) {
+          pktio::Mbuf* pkts[32];
+          dev.rx_burst(pkts, n);
+        } else {
+          pktio::Mbuf* pkts[32];
+          for (std::uint16_t i = 0; i < n; ++i) pkts[i] = pool.alloc();
+          const std::uint16_t sent = dev.tx_burst(pkts, n);
+          for (std::uint16_t i = sent; i < n; ++i) {
+            pktio::Mempool::release(pkts[i]);
+          }
+        }
+        EXPECT_EQ(backend.offered, want) << "burst at " << queue.now();
+      });
+    }
+    queue.run();
+    EXPECT_EQ(injector.stats().rx_stalled_polls, model.stats.rx_stalled_polls);
+    EXPECT_EQ(injector.stats().tx_stalled_bursts,
+              model.stats.tx_stalled_bursts);
+    EXPECT_EQ(injector.stats().bursts_truncated, model.stats.bursts_truncated);
+    EXPECT_EQ(activations, model.activations) << "round " << round;
+    EXPECT_EQ(pool.available(), pool.capacity());
+  }
 }
 
 }  // namespace

@@ -117,7 +117,9 @@ TEST(FlowTable, RehashReclaimsTombstonesAndKeepsIds) {
   // cleanup rehash (growth triggers at 50% live+tombstone load).
   for (std::uint32_t n = 0; n < 200; ++n) {
     table.classify(key_n(n), 64, Ns{n}, n);
-    if (n % 2 == 0) ASSERT_TRUE(table.erase(key_n(n)));
+    if (n % 2 == 0) {
+      ASSERT_TRUE(table.erase(key_n(n)));
+    }
   }
   EXPECT_EQ(table.size(), 100u);
   EXPECT_EQ(table.ids(), 200u);

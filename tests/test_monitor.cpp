@@ -5,14 +5,38 @@
 // output-identity with sync mode.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <sstream>
 #include <vector>
 
 #include "core/lis.hpp"
 #include "core/metrics.hpp"
 #include "monitor/monitor.hpp"
+
+// Counting replacement of the global allocation functions, for the
+// window-close allocation test below. Every test in this binary goes
+// through it.
+namespace {
+std::uint64_t g_allocations = 0;
+
+void* counted_alloc(std::size_t size) {
+  ++g_allocations;
+  void* p = std::malloc(size == 0 ? 1 : size);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void* operator new[](std::size_t size) { return counted_alloc(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace choir::monitor {
 namespace {
@@ -290,8 +314,8 @@ TEST(StreamMonitor, FullTrialWindowReproducesOfflineKappa) {
   const core::Trial a = cbr_trial(512, 1000);
   core::Trial b = perturb(a, /*seed=*/2025);
   for (std::uint64_t i = 0; i < 16; ++i) {  // alien extras, in time order
-    b.push_back(core::TrialPacket{core::PacketId{3, i},
-                                  b.last_time() + 500 + 10 * i});
+    b.push_back(core::TrialPacket{
+        core::PacketId{3, i}, b.last_time() + 500 + static_cast<Ns>(10 * i)});
   }
   ASSERT_GE(b.size(), a.size());
 
@@ -410,6 +434,131 @@ TEST(StreamMonitor, MovedAttributionAndTopKLimit) {
   feed(cfg_k0, make_trial({2, 1, 4, 3, 6, 5}, {0, 100, 200, 300, 400, 500}));
   cfg_k0.finalize();
   EXPECT_TRUE(cfg_k0.divergence().empty());
+}
+
+TEST(StreamMonitor, TopKAttributionEqualsStableSortOnTies) {
+  // Every moved packet here moves by one rank and every delayed packet
+  // by the same 300 ns, so both top-K orders are decided by their B
+  // position tie-break alone. The selection must equal the one a stable
+  // sort of the whole window gives, window by window.
+  const core::Trial a = cbr_trial(600, 1000);
+  std::vector<core::TrialPacket> packets = a.packets();
+  for (std::size_t i = 1; i + 1 < packets.size(); i += 7) {
+    std::swap(packets[i].id, packets[i + 1].id);
+  }
+  for (std::size_t i = 1; i < packets.size(); i += 5) packets[i].time += 300;
+  const core::Trial b(std::move(packets));
+  constexpr std::size_t kTopK = 4;
+  StreamMonitor mon(offline_config(/*window_packets=*/128, kTopK));
+  mon.set_reference(a);
+  feed(mon, b);
+  mon.finalize();
+
+  std::vector<DivergenceRecord> want;
+  for (const WindowRecord& w : mon.windows()) {
+    auto slice = [](const core::Trial& t, std::size_t lo, std::size_t hi) {
+      core::Trial s(std::vector<core::TrialPacket>(
+          t.packets().begin() + static_cast<std::ptrdiff_t>(lo),
+          t.packets().begin() + static_cast<std::ptrdiff_t>(hi)));
+      s.rebase_to_zero();
+      return s;
+    };
+    core::ComparisonOptions options;
+    options.collect_series = true;
+    options.collect_alignment = true;
+    const core::ComparisonResult cmp =
+        core::compare_trials(slice(a, w.a_begin, w.a_end),
+                             slice(b, w.b_begin, w.b_end), options);
+    std::vector<core::Move> moves;
+    for (const core::Move& mv : cmp.alignment.moves) {
+      if (mv.displacement != 0) moves.push_back(mv);
+    }
+    std::stable_sort(moves.begin(), moves.end(),
+                     [](const core::Move& x, const core::Move& y) {
+                       return std::abs(x.displacement) >
+                              std::abs(y.displacement);
+                     });
+    for (std::size_t i = 0; i < std::min(kTopK, moves.size()); ++i) {
+      DivergenceRecord r;
+      r.kind = DivergenceRecord::Kind::kMoved;
+      r.index_b = static_cast<std::int64_t>(w.b_begin + moves[i].index_b);
+      r.move = moves[i].displacement;
+      want.push_back(r);
+    }
+    std::vector<std::size_t> delayed;
+    for (std::size_t i = 0; i < cmp.series.latency_delta_ns.size(); ++i) {
+      if (cmp.series.latency_delta_ns[i] != 0.0) delayed.push_back(i);
+    }
+    std::stable_sort(delayed.begin(), delayed.end(),
+                     [&](std::size_t x, std::size_t y) {
+                       return std::abs(cmp.series.latency_delta_ns[x]) >
+                              std::abs(cmp.series.latency_delta_ns[y]);
+                     });
+    for (std::size_t i = 0; i < std::min(kTopK, delayed.size()); ++i) {
+      DivergenceRecord r;
+      r.kind = DivergenceRecord::Kind::kLatency;
+      r.index_b = static_cast<std::int64_t>(
+          w.b_begin + cmp.alignment.matches[delayed[i]].index_b);
+      r.latency_delta_ns = cmp.series.latency_delta_ns[delayed[i]];
+      want.push_back(r);
+    }
+  }
+  std::vector<DivergenceRecord> got;
+  for (const DivergenceRecord& r : mon.divergence()) {
+    if (r.kind == DivergenceRecord::Kind::kMoved ||
+        r.kind == DivergenceRecord::Kind::kLatency) {
+      got.push_back(r);
+    }
+  }
+  ASSERT_GT(want.size(), 2 * kTopK);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].kind, want[i].kind) << i;
+    EXPECT_EQ(got[i].index_b, want[i].index_b) << i;
+    if (want[i].kind == DivergenceRecord::Kind::kMoved) {
+      EXPECT_EQ(got[i].move, want[i].move) << i;
+    } else {
+      EXPECT_EQ(got[i].latency_delta_ns, want[i].latency_delta_ns) << i;
+    }
+  }
+}
+
+TEST(StreamMonitor, WindowCloseAllocationsAreBounded) {
+  // Once its arenas are warm, closing a window — the exact slice
+  // comparison, per-flow κ over every flow and attribution — allocates
+  // only when an output vector (windows, divergence records) doubles,
+  // whatever the flow count. Counted over the observe() calls that close
+  // a window, after four warm-up windows.
+  auto allocations_over_closes = [](std::size_t flows) {
+    constexpr std::size_t kWindow = 1024;
+    constexpr std::size_t kWindows = 12;
+    const core::Trial a = cbr_trial(kWindow * kWindows, 100);
+    const core::Trial b = perturb(a, /*seed=*/flows, 97, 13, 40);
+    auto flow_of = [flows](const core::TrialPacket& p) {
+      return static_cast<flow::FlowId>((p.id.lo - 1) % flows);
+    };
+    std::vector<flow::FlowId> ref_flows;
+    for (const core::TrialPacket& p : a.packets()) {
+      ref_flows.push_back(flow_of(p));
+    }
+    StreamMonitor mon(offline_config(kWindow, /*top_k=*/8));
+    mon.set_reference(a, ref_flows);
+    mon.begin_stream("b");
+    std::uint64_t closing = 0;
+    for (std::size_t k = 0; k < b.size(); ++k) {
+      const bool closes = (k + 1) % kWindow == 0 && k + 1 > 4 * kWindow;
+      const std::uint64_t before = g_allocations;
+      mon.observe(b[k].id, b[k].time, flow_of(b[k]));
+      if (closes) closing += g_allocations - before;
+    }
+    EXPECT_GE(mon.windows().size(), 10u);
+    EXPECT_TRUE(mon.windows().back().has_flows);
+    return closing;
+  };
+  // Seven window closes are counted: at most one allocation each, where
+  // demuxing the window into a Trial per flow and side costs ~2 per flow.
+  EXPECT_LE(allocations_over_closes(64), 7u);
+  EXPECT_LE(allocations_over_closes(4096), 7u);
 }
 
 TEST(StreamMonitor, RunningEstimateTracksExactComponents) {

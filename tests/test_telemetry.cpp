@@ -256,7 +256,9 @@ TEST(Tracer, TrackZeroIsExperimentAndTracksDedupe) {
 TEST(Tracer, DropsPastTheEventCap) {
   Tracer tracer(4);
   for (int i = 0; i < 10; ++i) {
-    tracer.instant("e" + std::to_string(i), Ns{i});
+    std::string name = "e";
+    name += std::to_string(i);
+    tracer.instant(name, Ns{i});
   }
   EXPECT_EQ(tracer.events().size(), 4u);
   EXPECT_EQ(tracer.dropped(), 6u);
