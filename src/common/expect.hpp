@@ -4,6 +4,12 @@
 // for conditions that indicate misuse of an API or a broken invariant;
 // hot paths that must not branch use CHOIR_ASSUME_DBG, which compiles out
 // in release builds.
+//
+// CHOIR_CHECK_FORMAT throws choir::FormatError with exactly `msg` (no
+// file/line prefix) and evaluates `msg` only when `cond` is false; use it
+// for checks on untrusted input (trace, pcap and fault-plan loaders),
+// especially in per-record loops where building the message up front
+// would cost more than the check.
 #pragma once
 
 #include <stdexcept>
@@ -41,6 +47,11 @@ namespace detail {
 #define CHOIR_EXPECT(cond, msg)                                     \
   do {                                                              \
     if (!(cond)) ::choir::detail::fail(#cond, __FILE__, __LINE__, (msg)); \
+  } while (0)
+
+#define CHOIR_CHECK_FORMAT(cond, msg)                          \
+  do {                                                         \
+    if (!(cond)) [[unlikely]] throw ::choir::FormatError(msg); \
   } while (0)
 
 #ifdef NDEBUG

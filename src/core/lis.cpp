@@ -18,6 +18,14 @@ std::size_t lower_bound_pos(const std::uint32_t* a, std::size_t n,
   return base + ((n == 1 && a[base] < v) ? 1 : 0);
 }
 
+/// Append fast path: the tails are strictly increasing, so a value above
+/// the last tail is exactly the case where lower_bound_pos would return
+/// size(). In-order stretches of a trial (half the values of a
+/// whole-burst reordering) skip the search.
+bool extends_tails(const std::vector<std::uint32_t>& tails, std::uint32_t v) {
+  return tails.empty() || tails.back() < v;
+}
+
 template <typename Vec>
 void reserve_tracked(Vec& v, std::size_t n, std::uint64_t* grows) {
   if (v.capacity() < n) {
@@ -44,11 +52,14 @@ void longest_increasing_subsequence(std::span<const std::uint32_t> values,
 
   for (std::uint32_t i = 0; i < n; ++i) {
     const std::uint32_t v = values[i];
-    const std::size_t pile = lower_bound_pos(scratch.tail_vals.data(),
-                                             scratch.tail_vals.size(), v);
+    const std::size_t size = scratch.tail_vals.size();
+    const std::size_t pile =
+        extends_tails(scratch.tail_vals, v)
+            ? size
+            : lower_bound_pos(scratch.tail_vals.data(), size, v);
     scratch.parent[i] =
         pile > 0 ? scratch.tail_pos[pile - 1] : UINT32_MAX;
-    if (pile == scratch.tail_vals.size()) {
+    if (pile == size) {
       scratch.tail_vals.push_back(v);
       scratch.tail_pos.push_back(i);
     } else {
@@ -82,7 +93,10 @@ std::size_t lis_length(std::span<const std::uint32_t> values) {
   std::vector<std::uint32_t> tails;
   tails.reserve(values.size());
   for (const std::uint32_t v : values) {
-    const std::size_t pile = lower_bound_pos(tails.data(), tails.size(), v);
+    const std::size_t pile =
+        extends_tails(tails, v)
+            ? tails.size()
+            : lower_bound_pos(tails.data(), tails.size(), v);
     if (pile == tails.size()) {
       tails.push_back(v);
     } else {

@@ -10,7 +10,9 @@
 // search never indirects through positions back into the input — one
 // cache-resident array instead of a dependent load per probe) and
 // `tail_pos` the matching input position used for parent links. The
-// search itself is the branchless halving lower_bound.
+// search itself is the branchless halving lower_bound, preceded by an
+// append check against the last tail that picks the same pile without
+// searching whenever the value extends the longest pile.
 #pragma once
 
 #include <cstdint>

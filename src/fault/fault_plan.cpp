@@ -109,21 +109,21 @@ Ns FaultPlan::horizon() const {
 void FaultPlan::validate() const {
   for (std::size_t i = 0; i < events_.size(); ++i) {
     const FaultEvent& e = events_[i];
-    const std::string where =
-        "fault plan event " + std::to_string(i) + " (" + kind_name(e.kind) +
-        "): ";
-    if (e.start < 0 || e.duration < 0) {
-      throw FormatError(where + "negative window");
-    }
-    if (e.probability < 0.0 || e.probability > 1.0) {
-      throw FormatError(where + "probability out of [0,1]");
-    }
-    if (e.delay < 0) throw FormatError(where + "negative delay");
-    if (e.kind == FaultKind::kNicBurstTruncate && e.burst_cap == 0) {
-      throw FormatError(where + "burst_cap must be >= 1");
-    }
-    if (e.factor < 0.0) throw FormatError(where + "negative factor");
-    if (e.target.empty()) throw FormatError(where + "empty target");
+    const auto where = [&] {
+      return "fault plan event " + std::to_string(i) + " (" +
+             kind_name(e.kind) + "): ";
+    };
+    CHOIR_CHECK_FORMAT(e.start >= 0 && e.duration >= 0,
+                       where() + "negative window");
+    // Negated comparisons on the doubles keep NaN's verdict unchanged.
+    CHOIR_CHECK_FORMAT(!(e.probability < 0.0 || e.probability > 1.0),
+                       where() + "probability out of [0,1]");
+    CHOIR_CHECK_FORMAT(e.delay >= 0, where() + "negative delay");
+    CHOIR_CHECK_FORMAT(
+        e.kind != FaultKind::kNicBurstTruncate || e.burst_cap != 0,
+        where() + "burst_cap must be >= 1");
+    CHOIR_CHECK_FORMAT(!(e.factor < 0.0), where() + "negative factor");
+    CHOIR_CHECK_FORMAT(!e.target.empty(), where() + "empty target");
   }
 }
 

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <fstream>
 #include <utility>
+#include <vector>
 
 #include "common/expect.hpp"
 #include "trace/tag.hpp"
@@ -21,12 +22,6 @@ namespace {
 constexpr char kMagic[8] = {'C', 'H', 'O', 'I', 'R', 'T', 'R', 'C'};
 
 template <typename T>
-void put(std::ofstream& out, T value) {
-  // Host little-endian assumed for this research codebase (x86-64/ARM64).
-  out.write(reinterpret_cast<const char*>(&value), sizeof(value));
-}
-
-template <typename T>
 T get(std::ifstream& in) {
   T value{};
   in.read(reinterpret_cast<char*>(&value), sizeof(value));
@@ -43,10 +38,11 @@ T get_at(const std::uint8_t* p) {
   return value;
 }
 
-/// Loader-side validation: malformed input is a FormatError the caller
-/// can recover from, never an invariant failure and never a wild read.
-void check_format(bool ok, const std::string& what) {
-  if (!ok) throw FormatError(what);
+/// Store counterpart of get_at. Host little-endian assumed for this
+/// research codebase (x86-64/ARM64).
+template <typename T>
+void put_at(std::uint8_t* p, T value) {
+  std::memcpy(p, &value, sizeof(value));
 }
 
 /// Frames above this are not representable on any link the simulator
@@ -67,37 +63,53 @@ static_assert(kOffPayloadToken + 8 == kTraceRecordBytes);
 void write_trace(const Capture& capture, const std::string& path) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   CHOIR_EXPECT(out.good(), "cannot open trace file for writing: " + path);
-  out.write(kMagic, sizeof(kMagic));
-  put<std::uint32_t>(out, kTraceVersion);
-  put<std::uint64_t>(out, capture.size());
+  std::uint8_t header[kTraceHeaderBytes];
+  std::memcpy(header, kMagic, sizeof(kMagic));
+  put_at<std::uint32_t>(header + 8, kTraceVersion);
+  put_at<std::uint64_t>(header + 12, capture.size());
+  out.write(reinterpret_cast<const char*>(header), sizeof(header));
+  // Records are encoded at their on-disk offsets into one reused block
+  // and written a block at a time: one stream call per kBlockRecords
+  // records instead of seven per record.
+  constexpr std::size_t kBlockRecords = 1024;
+  std::vector<std::uint8_t> block(kBlockRecords * kTraceRecordBytes);
+  const auto flush = [&](std::size_t records) {
+    out.write(reinterpret_cast<const char*>(block.data()),
+              static_cast<std::streamsize>(records * kTraceRecordBytes));
+  };
+  std::size_t filled = 0;
   for (const CaptureRecord& r : capture.records()) {
-    put<std::int64_t>(out, r.timestamp);
-    put<std::uint32_t>(out, r.wire_len);
-    put<std::uint16_t>(out, r.header_len);
-    put<std::uint8_t>(out, r.has_trailer ? 1 : 0);
-    out.write(reinterpret_cast<const char*>(r.header.data()),
-              static_cast<std::streamsize>(r.header.size()));
-    out.write(reinterpret_cast<const char*>(r.trailer.data()),
-              static_cast<std::streamsize>(r.trailer.size()));
-    put<std::uint64_t>(out, r.payload_token);
+    std::uint8_t* p = block.data() + filled * kTraceRecordBytes;
+    put_at<std::int64_t>(p + kOffTimestamp, r.timestamp);
+    put_at<std::uint32_t>(p + kOffWireLen, r.wire_len);
+    put_at<std::uint16_t>(p + kOffHeaderLen, r.header_len);
+    put_at<std::uint8_t>(p + kOffHasTrailer, r.has_trailer ? 1 : 0);
+    std::memcpy(p + kOffHeader, r.header.data(), r.header.size());
+    std::memcpy(p + kOffTrailer, r.trailer.data(), r.trailer.size());
+    put_at<std::uint64_t>(p + kOffPayloadToken, r.payload_token);
+    if (++filled == kBlockRecords) {
+      flush(filled);
+      filled = 0;
+    }
   }
+  flush(filled);
   CHOIR_EXPECT(out.good(), "write failed for trace file: " + path);
 }
 
 Capture read_trace(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  check_format(in.good(), "cannot open trace file: " + path);
+  CHOIR_CHECK_FORMAT(in.good(), "cannot open trace file: " + path);
   char magic[8];
   in.read(magic, sizeof(magic));
-  check_format(in.good() && std::memcmp(magic, kMagic, 8) == 0,
-               "bad trace magic: " + path);
+  CHOIR_CHECK_FORMAT(in.good() && std::memcmp(magic, kMagic, 8) == 0,
+                     "bad trace magic: " + path);
   const auto version = get<std::uint32_t>(in);
-  check_format(in.good(), "truncated trace header: " + path);
-  check_format(version == kTraceVersion,
-               "unsupported trace version " + std::to_string(version) + ": " +
-                   path);
+  CHOIR_CHECK_FORMAT(in.good(), "truncated trace header: " + path);
+  CHOIR_CHECK_FORMAT(version == kTraceVersion,
+                     "unsupported trace version " + std::to_string(version) +
+                         ": " + path);
   const auto count = get<std::uint64_t>(in);
-  check_format(in.good(), "truncated trace header: " + path);
+  CHOIR_CHECK_FORMAT(in.good(), "truncated trace header: " + path);
   // Validate the declared count against the actual file size before
   // trusting it for an allocation — a corrupted header must not drive an
   // unbounded reserve.
@@ -105,9 +117,10 @@ Capture read_trace(const std::string& path) {
   in.seekg(0, std::ios::end);
   const auto file_end = in.tellg();
   in.seekg(header_end);
-  check_format(count <= static_cast<std::uint64_t>(file_end - header_end) /
-                            kTraceRecordBytes,
-               "trace record count exceeds file size: " + path);
+  CHOIR_CHECK_FORMAT(
+      count <= static_cast<std::uint64_t>(file_end - header_end) /
+                   kTraceRecordBytes,
+      "trace record count exceeds file size: " + path);
 
   Capture capture(path);
   capture.reserve(count);
@@ -120,19 +133,19 @@ Capture read_trace(const std::string& path) {
     // The header/trailer arrays are fixed-size, so reads below cannot
     // overrun; the declared lengths still have to be sane before any
     // consumer indexes with them.
-    check_format(r.header_len <= pktio::kMaxHeaderBytes,
-                 "trace record " + std::to_string(i) +
-                     " header_len exceeds maximum: " + path);
-    check_format(r.wire_len <= kMaxPlausibleWireLen &&
-                     r.wire_len >= r.header_len,
-                 "trace record " + std::to_string(i) +
-                     " has implausible wire_len: " + path);
+    CHOIR_CHECK_FORMAT(r.header_len <= pktio::kMaxHeaderBytes,
+                       "trace record " + std::to_string(i) +
+                           " header_len exceeds maximum: " + path);
+    CHOIR_CHECK_FORMAT(r.wire_len <= kMaxPlausibleWireLen &&
+                           r.wire_len >= r.header_len,
+                       "trace record " + std::to_string(i) +
+                           " has implausible wire_len: " + path);
     in.read(reinterpret_cast<char*>(r.header.data()),
             static_cast<std::streamsize>(r.header.size()));
     in.read(reinterpret_cast<char*>(r.trailer.data()),
             static_cast<std::streamsize>(r.trailer.size()));
     r.payload_token = get<std::uint64_t>(in);
-    check_format(in.good(), "truncated trace file: " + path);
+    CHOIR_CHECK_FORMAT(in.good(), "truncated trace file: " + path);
     capture.append(r);
   }
   return capture;
@@ -147,20 +160,22 @@ MappedCapture::MappedCapture(const std::string& path) : path_(path) {
 void MappedCapture::load(const std::string& path) {
 #if CHOIR_TRACE_HAVE_MMAP
   const int fd = ::open(path.c_str(), O_RDONLY);
-  check_format(fd >= 0, "cannot open trace file: " + path);
+  CHOIR_CHECK_FORMAT(fd >= 0, "cannot open trace file: " + path);
   struct stat st{};
   if (::fstat(fd, &st) != 0 || st.st_size < 0) {
     ::close(fd);
     throw FormatError("cannot open trace file: " + path);
   }
   const auto file_len = static_cast<std::size_t>(st.st_size);
-  check_format(file_len >= kTraceHeaderBytes,
-               "truncated trace header: " + path);
-  void* map = ::mmap(nullptr, file_len, PROT_READ, MAP_PRIVATE, fd, 0);
+  void* map = file_len < kTraceHeaderBytes
+                  ? MAP_FAILED
+                  : ::mmap(nullptr, file_len, PROT_READ, MAP_PRIVATE, fd, 0);
   ::close(fd);
   if (map == MAP_FAILED) {
     // Mapping itself failed (special filesystem, resource limit):
-    // degrade to copy semantics, not to an error.
+    // degrade to copy semantics, not to an error. A file shorter than
+    // its header comes here too, so read_trace names the first missing
+    // or bad header field and both loaders report the same fault.
     fallback_ = read_trace(path);
     count_ = fallback_.size();
     return;
@@ -169,15 +184,16 @@ void MappedCapture::load(const std::string& path) {
   map_len_ = file_len;
   try {
     const auto* bytes = static_cast<const std::uint8_t*>(map_);
-    check_format(std::memcmp(bytes, kMagic, 8) == 0,
-                 "bad trace magic: " + path);
+    CHOIR_CHECK_FORMAT(std::memcmp(bytes, kMagic, 8) == 0,
+                       "bad trace magic: " + path);
     const auto version = get_at<std::uint32_t>(bytes + 8);
-    check_format(version == kTraceVersion,
-                 "unsupported trace version " + std::to_string(version) +
-                     ": " + path);
+    CHOIR_CHECK_FORMAT(version == kTraceVersion,
+                       "unsupported trace version " + std::to_string(version) +
+                           ": " + path);
     count_ = get_at<std::uint64_t>(bytes + 12);
-    check_format(count_ <= (map_len_ - kTraceHeaderBytes) / kTraceRecordBytes,
-                 "trace record count exceeds file size: " + path);
+    CHOIR_CHECK_FORMAT(
+        count_ <= (map_len_ - kTraceHeaderBytes) / kTraceRecordBytes,
+        "trace record count exceeds file size: " + path);
     // Validate every record's sanity fields up front (one pass over two
     // fields per record) so the random-access accessors can stay
     // check-free on the hot path.
@@ -185,12 +201,13 @@ void MappedCapture::load(const std::string& path) {
       const std::uint8_t* r = record_ptr(i);
       const auto header_len = get_at<std::uint16_t>(r + kOffHeaderLen);
       const auto wire_len = get_at<std::uint32_t>(r + kOffWireLen);
-      check_format(header_len <= pktio::kMaxHeaderBytes,
-                   "trace record " + std::to_string(i) +
-                       " header_len exceeds maximum: " + path);
-      check_format(wire_len <= kMaxPlausibleWireLen && wire_len >= header_len,
-                   "trace record " + std::to_string(i) +
-                       " has implausible wire_len: " + path);
+      CHOIR_CHECK_FORMAT(header_len <= pktio::kMaxHeaderBytes,
+                         "trace record " + std::to_string(i) +
+                             " header_len exceeds maximum: " + path);
+      CHOIR_CHECK_FORMAT(
+          wire_len <= kMaxPlausibleWireLen && wire_len >= header_len,
+          "trace record " + std::to_string(i) +
+              " has implausible wire_len: " + path);
     }
   } catch (...) {
     unmap();

@@ -2,7 +2,11 @@
 // random headers/trailers/files must never crash, throw unexpectedly, or
 // be mis-accepted as valid protocol messages at any meaningful rate.
 #include <cstdio>
+#include <exception>
 #include <fstream>
+#include <iterator>
+#include <optional>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -287,6 +291,173 @@ TEST_F(FileFuzz, CorruptedValidTraceRejectedOrSane) {
       // rejection is fine
     }
   }
+}
+
+// --- Seeded mutation of valid files --------------------------------------
+
+/// A valid capture with real Eth/IPv4/UDP headers, mixed frame sizes and
+/// evaluation tags on most packets.
+trace::Capture seed_capture(std::size_t n) {
+  Rng rng(7);
+  trace::Capture cap("seed");
+  for (std::size_t i = 0; i < n; ++i) {
+    pktio::Frame frame;
+    frame.wire_len = static_cast<std::uint32_t>(64 + rng.uniform_u64(300));
+    pktio::FlowAddress flow;
+    flow.src_mac = pktio::mac_for_node(1);
+    flow.dst_mac = pktio::mac_for_node(2);
+    flow.src_ip = pktio::ip_for_node(1);
+    flow.dst_ip = pktio::ip_for_node(2);
+    flow.src_port = static_cast<std::uint16_t>(1000 + i % 7);
+    flow.dst_port = 9;
+    pktio::write_eth_ipv4_udp(frame, flow);
+    frame.payload_token = rng.next_u64();
+    if (!rng.chance(0.2)) trace::stamp(frame, trace::Tag{1, 0, i});
+    const Ns jitter = static_cast<Ns>(rng.uniform_u64(50));
+    cap.append(trace::CaptureRecord::from_frame(
+        frame, static_cast<Ns>(i) * 700 + jitter));
+  }
+  return cap;
+}
+
+/// One of three mutations, chosen by the seed: flip a few bytes, cut the
+/// file short, or overwrite a run of bytes (often a whole field at a
+/// record boundary, so length and count fields get hit) with random data.
+std::string mutate(const std::string& valid, std::size_t header_bytes,
+                   std::size_t record_bytes, Rng& rng) {
+  std::string bytes = valid;
+  switch (rng.uniform_u64(3)) {
+    case 0: {
+      const std::uint64_t flips = 1 + rng.uniform_u64(8);
+      for (std::uint64_t k = 0; k < flips; ++k) {
+        bytes[rng.uniform_u64(bytes.size())] ^=
+            static_cast<char>(1 + rng.uniform_u64(255));
+      }
+      break;
+    }
+    case 1:
+      bytes.resize(rng.uniform_u64(bytes.size()));
+      break;
+    default: {
+      std::size_t at = rng.uniform_u64(bytes.size());
+      if (rng.chance(0.5)) {
+        const std::size_t records =
+            (bytes.size() - header_bytes) / record_bytes;
+        at = rng.chance(0.2) ? rng.uniform_u64(header_bytes)
+                             : header_bytes +
+                                   rng.uniform_u64(records) * record_bytes +
+                                   rng.uniform_u64(16);
+      }
+      const std::size_t len = 1 + rng.uniform_u64(8);
+      for (std::size_t k = at; k < at + len && k < bytes.size(); ++k) {
+        bytes[k] = static_cast<char>(rng.next_u64());
+      }
+      break;
+    }
+  }
+  return bytes;
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+/// Runs `load`; returns "" when it loads and the FormatError text when
+/// it rejects. Any other exception fails the test.
+template <typename Load>
+std::string load_outcome(Load load, std::uint64_t seed, const char* loader) {
+  try {
+    load();
+    return "";
+  } catch (const FormatError& e) {
+    const std::string what = e.what();
+    EXPECT_FALSE(what.empty()) << loader << " seed " << seed;
+    return what;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << loader << " seed " << seed
+                  << " threw a non-FormatError: " << e.what();
+    return "<other>";
+  }
+}
+
+constexpr std::uint64_t kMutationSeeds = 400;
+
+TEST_F(FileFuzz, MutatedTraceLoadsOrRejectsAlikeInBothLoaders) {
+  trace::write_trace(seed_capture(24), path);
+  const std::string valid = slurp(path);
+  int loaded = 0;
+  int rejected = 0;
+  for (std::uint64_t seed = 0; seed < kMutationSeeds; ++seed) {
+    Rng rng(seed);
+    write_bytes(mutate(valid, trace::kTraceHeaderBytes,
+                       trace::kTraceRecordBytes, rng));
+    trace::Capture read;
+    const std::string read_error = load_outcome(
+        [&] { read = trace::read_trace(path); }, seed, "read_trace");
+    std::optional<trace::MappedCapture> mapped;
+    const std::string mapped_error = load_outcome(
+        [&] { mapped.emplace(path); }, seed, "MappedCapture");
+    ASSERT_EQ(mapped_error, read_error) << "seed " << seed;
+    if (!read_error.empty()) {
+      ++rejected;
+      continue;
+    }
+    ++loaded;
+    ASSERT_EQ(mapped->size(), read.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < read.size(); ++i) {
+      const trace::CaptureRecord r = mapped->record(i);
+      ASSERT_LE(r.header_len, pktio::kMaxHeaderBytes);
+      ASSERT_GE(r.wire_len, r.header_len);
+      ASSERT_EQ(r.timestamp, read[i].timestamp) << "seed " << seed;
+      ASSERT_EQ(r.wire_len, read[i].wire_len) << "seed " << seed;
+      ASSERT_EQ(r.header_len, read[i].header_len) << "seed " << seed;
+      ASSERT_EQ(r.header, read[i].header) << "seed " << seed;
+      ASSERT_EQ(r.has_trailer, read[i].has_trailer) << "seed " << seed;
+      ASSERT_EQ(r.trailer, read[i].trailer) << "seed " << seed;
+      ASSERT_EQ(r.payload_token, read[i].payload_token) << "seed " << seed;
+    }
+    const core::Trial from_map = mapped->to_trial();
+    const core::Trial from_read = read.to_trial();
+    ASSERT_EQ(from_map.size(), from_read.size());
+    for (std::size_t i = 0; i < from_read.size(); ++i) {
+      ASSERT_EQ(from_map[i].id.hi, from_read[i].id.hi) << "seed " << seed;
+      ASSERT_EQ(from_map[i].id.lo, from_read[i].id.lo) << "seed " << seed;
+    }
+  }
+  // Both outcomes occur often, so the loop exercises acceptance and
+  // every rejection path rather than one of them.
+  EXPECT_GT(loaded, 40);
+  EXPECT_GT(rejected, 40);
+}
+
+TEST_F(FileFuzz, MutatedPcapLoadsOrRejectsWithFormatError) {
+  trace::write_pcap(seed_capture(24), path);
+  const std::string valid = slurp(path);
+  // pcap records vary in length; the record stride here only biases
+  // where whole-field overwrites land.
+  constexpr std::size_t kGlobalHeader = 24;
+  constexpr std::size_t kRecordHeader = 16;
+  int loaded = 0;
+  int rejected = 0;
+  for (std::uint64_t seed = 0; seed < kMutationSeeds; ++seed) {
+    Rng rng(seed);
+    write_bytes(mutate(valid, kGlobalHeader, kRecordHeader + 64, rng));
+    trace::Capture read;
+    const std::string error = load_outcome(
+        [&] { read = trace::read_pcap(path); }, seed, "read_pcap");
+    if (!error.empty()) {
+      ++rejected;
+      continue;
+    }
+    ++loaded;
+    for (std::size_t i = 0; i < read.size(); ++i) {
+      ASSERT_LE(read[i].header_len, pktio::kMaxHeaderBytes) << "seed " << seed;
+    }
+    EXPECT_EQ(read.to_trial().size(), read.size()) << "seed " << seed;
+  }
+  EXPECT_GT(loaded, 40);
+  EXPECT_GT(rejected, 40);
 }
 
 }  // namespace

@@ -1,4 +1,7 @@
 // FaultPlan parsing, validation, and the shipped chaos schedules.
+#include <cmath>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "common/expect.hpp"
@@ -76,6 +79,47 @@ TEST(FaultPlan, ValidateCatchesBadProgrammaticEvents) {
   e.probability = 2.0;
   plan.add(e);
   EXPECT_THROW(plan.validate(), FormatError);
+}
+
+TEST(FaultPlan, ValidateNamesEventKindAndCheck) {
+  // One bad field per case, always on event 1 behind a valid event 0.
+  const auto message = [](auto&& corrupt) -> std::string {
+    FaultPlan plan;
+    FaultEvent good;
+    good.duration = milliseconds(1);
+    FaultEvent bad = good;
+    bad.kind = FaultKind::kNicBurstTruncate;
+    corrupt(bad);
+    plan.add(good).add(bad);
+    try {
+      plan.validate();
+    } catch (const FormatError& e) {
+      return e.what();
+    }
+    return "valid";
+  };
+  const std::string where = "fault plan event 1 (nic_burst_truncate): ";
+  EXPECT_EQ(message([](FaultEvent& e) { e.start = -1; }),
+            where + "negative window");
+  EXPECT_EQ(message([](FaultEvent& e) { e.duration = -1; }),
+            where + "negative window");
+  EXPECT_EQ(message([](FaultEvent& e) { e.probability = 1.5; }),
+            where + "probability out of [0,1]");
+  EXPECT_EQ(message([](FaultEvent& e) { e.probability = -0.5; }),
+            where + "probability out of [0,1]");
+  EXPECT_EQ(message([](FaultEvent& e) { e.delay = -1; }),
+            where + "negative delay");
+  EXPECT_EQ(message([](FaultEvent& e) { e.burst_cap = 0; }),
+            where + "burst_cap must be >= 1");
+  EXPECT_EQ(message([](FaultEvent& e) { e.factor = -1.0; }),
+            where + "negative factor");
+  EXPECT_EQ(message([](FaultEvent& e) { e.target.clear(); }),
+            where + "empty target");
+  // NaN fails no ordered comparison, so these checks let it through.
+  EXPECT_EQ(message([](FaultEvent& e) { e.probability = std::nan(""); }),
+            "valid");
+  EXPECT_EQ(message([](FaultEvent& e) { e.factor = std::nan(""); }), "valid");
+  EXPECT_EQ(message([](FaultEvent&) {}), "valid");
 }
 
 TEST(FaultPlan, WindowsAndTargets) {

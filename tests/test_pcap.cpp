@@ -179,6 +179,37 @@ TEST_F(PcapTest, ReadRejectsTruncatedRecord) {
   EXPECT_THROW(read_pcap(path), Error);
 }
 
+std::string format_error_of(const std::string& path) {
+  try {
+    read_pcap(path);
+  } catch (const FormatError& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "read_pcap accepted a corrupt file";
+  return "";
+}
+
+TEST_F(PcapTest, PerRecordErrorTextNamesThePath) {
+  // Record 0's header sits at byte 24 (after the global header):
+  // ts_sec, ts_frac, incl_len, orig_len.
+  write_pcap(one_packet_capture(), path);
+  ASSERT_EQ(truncate(path.c_str(), 24 + 9), 0);
+  EXPECT_EQ(format_error_of(path), "truncated pcap record header: " + path);
+
+  write_pcap(one_packet_capture(), path);
+  {
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(24 + 12);
+    const std::uint32_t orig = 50;  // below incl (100)
+    f.write(reinterpret_cast<const char*>(&orig), sizeof(orig));
+  }
+  EXPECT_EQ(format_error_of(path), "malformed pcap record lengths: " + path);
+
+  write_pcap(one_packet_capture(), path);
+  ASSERT_EQ(truncate(path.c_str(), 24 + 16 + 10), 0);
+  EXPECT_EQ(format_error_of(path), "truncated pcap packet: " + path);
+}
+
 TEST(PayloadFiller, StableAcrossCalls) {
   for (std::uint32_t i = 0; i < 64; ++i) {
     EXPECT_EQ(payload_filler_byte(123, i), payload_filler_byte(123, i));
